@@ -6,7 +6,7 @@ Drains a ciphertext to its last limb, runs the full pipeline
 refreshed ciphertext carries the same message with levels restored —
 then keeps computing on it.
 
-Run:  python examples/bootstrap_demo.py       (~20-30 s)
+Run:  python examples/bootstrap_demo.py       (~1 s)
 """
 
 import time

@@ -19,9 +19,9 @@ from .keys import (GaloisKeySet, KeyGenerator, PublicKey, SecretKey,
                    SwitchingKey, conjugation_element,
                    galois_element_for_rotation)
 from .keyswitch import KeySwitcher
-from .modmath import modinv
 from .ntt import get_ntt_context
 from .poly import RnsPolynomial
+from .rns import RnsBasis
 
 #: Relative tolerance when matching scales of operands.
 SCALE_RTOL = 1e-6
@@ -227,21 +227,18 @@ class Evaluator:
     @staticmethod
     def _rescale_poly(poly: RnsPolynomial, q_last: int) -> RnsPolynomial:
         ring_degree = poly.ring_degree
-        last_ctx = get_ntt_context(ring_degree, q_last)
-        last_coeff = last_ctx.inverse(poly.limbs[-1])
+        last_coeff = get_ntt_context(ring_degree, q_last).inverse(
+            poly.limbs[-1])
         # Centered lift of the dropped limb for minimal rounding noise.
         centered = np.where(last_coeff >= (q_last + 1) // 2,
                             last_coeff - q_last, last_coeff)
-        remaining = poly.basis.primes[:-1]
-        out = np.empty((len(remaining), ring_degree), dtype=np.int64)
-        for i, q in enumerate(remaining):
-            ctx = get_ntt_context(ring_degree, q)
-            lifted = ctx.forward(centered % q)
-            inv = modinv(q_last % q, q)
-            out[i] = (poly.limbs[i] - lifted) % q * inv % q
-        from .rns import RnsBasis
-        return RnsPolynomial(ring_degree, RnsBasis(remaining), out,
-                             is_ntt=True)
+        remaining = RnsBasis(poly.basis.primes[:-1])
+        q = remaining.prime_column
+        lifted = get_ntt_context(ring_degree, remaining.primes).forward(
+            centered % q)
+        out = ((poly.limbs[:-1] - lifted) % q
+               * remaining.inverse_column(q_last) % q)
+        return RnsPolynomial(ring_degree, remaining, out, is_ntt=True)
 
     def rescale_to_scale(self, ct: Ciphertext, target: float) -> Ciphertext:
         """Rescale repeatedly until the scale is within 2x of ``target``."""

@@ -25,7 +25,6 @@ import numpy as np
 
 from .context import CkksContext
 from .keys import SwitchingKey
-from .modmath import modinv
 from .ntt import get_ntt_context
 from .poly import RnsPolynomial
 from .rns import RnsBasis, get_base_converter
@@ -58,23 +57,19 @@ class KeySwitcher:
         (a multiple of the digit modulus) provably cancels in ModDown.
         """
         ring_degree = digit_poly.ring_degree
-        digit_primes = set(digit_poly.basis.primes)
-        coeff = digit_poly.to_coeff()
-        new_primes = [p for p in target.primes if p not in digit_primes]
-        out = np.zeros((len(target), ring_degree), dtype=np.int64)
-        if new_primes:
+        digit_row = {p: i for i, p in enumerate(digit_poly.basis.primes)}
+        kept = [j for j, p in enumerate(target.primes) if p in digit_row]
+        new = [j for j, p in enumerate(target.primes) if p not in digit_row]
+        out = np.empty((len(target), ring_degree), dtype=np.int64)
+        out[kept] = digit_poly.to_ntt().limbs[
+            [digit_row[target.primes[j]] for j in kept]]
+        if new:
+            new_primes = tuple(target.primes[j] for j in new)
             converter = get_base_converter(digit_poly.basis,
                                            RnsBasis(new_primes))
-            converted = converter.convert(coeff.limbs)
-        row_of_new = {p: i for i, p in enumerate(new_primes)}
-        ntt_source = digit_poly.to_ntt()
-        digit_row = {p: i for i, p in enumerate(digit_poly.basis.primes)}
-        for j, p in enumerate(target.primes):
-            if p in digit_row:
-                out[j] = ntt_source.limbs[digit_row[p]]
-            else:
-                ctx = get_ntt_context(ring_degree, p)
-                out[j] = ctx.forward(converted[row_of_new[p]])
+            converted = converter.convert(digit_poly.to_coeff().limbs)
+            out[new] = get_ntt_context(ring_degree, new_primes).forward(
+                converted)
         return RnsPolynomial(ring_degree, target, out, is_ntt=True)
 
     def inner_product(self, raised_digits: List[RnsPolynomial],
@@ -112,15 +107,12 @@ class KeySwitcher:
         p_coeff = p_part.to_coeff()
         converter = get_base_converter(p_basis, q_basis)
         lifted = converter.convert_exact_floor(p_coeff.limbs)
-        ring_degree = poly.ring_degree
-        p_mod = ctx.p_modulus
-        out = np.empty((num_q, ring_degree), dtype=np.int64)
-        for i, q in enumerate(q_basis.primes):
-            ntt_ctx = get_ntt_context(ring_degree, q)
-            lifted_ntt = ntt_ctx.forward(lifted[i])
-            inv_p = modinv(p_mod % q, q)
-            out[i] = (poly.limbs[i] - lifted_ntt) % q * inv_p % q
-        return RnsPolynomial(ring_degree, q_basis, out, is_ntt=True)
+        lifted_ntt = get_ntt_context(poly.ring_degree,
+                                     q_basis.primes).forward(lifted)
+        q = q_basis.prime_column
+        out = ((poly.limbs[:num_q] - lifted_ntt) % q
+               * q_basis.inverse_column(ctx.p_modulus) % q)
+        return RnsPolynomial(poly.ring_degree, q_basis, out, is_ntt=True)
 
     # ------------------------------------------------------------------
     # Hoisting (Halevi–Shoup; used by Bossuat et al. [5] and by FAB's

@@ -64,16 +64,12 @@ class RnsPolynomial:
         coeffs = list(coeffs)
         if len(coeffs) != ring_degree:
             raise ValueError("coefficient count must equal ring degree")
-        limbs = np.zeros((len(basis), ring_degree), dtype=np.int64)
-        big = any(abs(int(c)) >= (1 << 62) for c in coeffs)
-        if big:
-            for i, q in enumerate(basis.primes):
-                limbs[i] = np.array([int(c) % q for c in coeffs],
-                                    dtype=np.int64)
+        if any(abs(int(c)) >= (1 << 62) for c in coeffs):
+            limbs = np.array([[int(c) % q for c in coeffs]
+                              for q in basis.primes], dtype=np.int64)
         else:
             arr = np.array([int(c) for c in coeffs], dtype=np.int64)
-            for i, q in enumerate(basis.primes):
-                limbs[i] = arr % q
+            limbs = arr % basis.prime_column
         return cls(ring_degree, basis, limbs, is_ntt=False)
 
     def copy(self) -> "RnsPolynomial":
@@ -89,21 +85,17 @@ class RnsPolynomial:
         """Return the evaluation-representation version of this polynomial."""
         if self.is_ntt:
             return self
-        out = np.empty_like(self.limbs)
-        for i, q in enumerate(self.basis.primes):
-            ctx = get_ntt_context(self.ring_degree, q)
-            out[i] = ctx.forward(self.limbs[i])
-        return RnsPolynomial(self.ring_degree, self.basis, out, is_ntt=True)
+        ctx = get_ntt_context(self.ring_degree, self.basis.primes)
+        return RnsPolynomial(self.ring_degree, self.basis,
+                             ctx.forward(self.limbs), is_ntt=True)
 
     def to_coeff(self) -> "RnsPolynomial":
         """Return the coefficient-representation version of this polynomial."""
         if not self.is_ntt:
             return self
-        out = np.empty_like(self.limbs)
-        for i, q in enumerate(self.basis.primes):
-            ctx = get_ntt_context(self.ring_degree, q)
-            out[i] = ctx.inverse(self.limbs[i])
-        return RnsPolynomial(self.ring_degree, self.basis, out, is_ntt=False)
+        ctx = get_ntt_context(self.ring_degree, self.basis.primes)
+        return RnsPolynomial(self.ring_degree, self.basis,
+                             ctx.inverse(self.limbs), is_ntt=False)
 
     # ------------------------------------------------------------------
     # Arithmetic
@@ -119,18 +111,18 @@ class RnsPolynomial:
 
     def __add__(self, other: "RnsPolynomial") -> "RnsPolynomial":
         self._check_compatible(other)
-        primes = np.array(self.basis.primes, dtype=np.int64)[:, None]
+        primes = self.basis.prime_column
         return RnsPolynomial(self.ring_degree, self.basis,
                              (self.limbs + other.limbs) % primes, self.is_ntt)
 
     def __sub__(self, other: "RnsPolynomial") -> "RnsPolynomial":
         self._check_compatible(other)
-        primes = np.array(self.basis.primes, dtype=np.int64)[:, None]
+        primes = self.basis.prime_column
         return RnsPolynomial(self.ring_degree, self.basis,
                              (self.limbs - other.limbs) % primes, self.is_ntt)
 
     def __neg__(self) -> "RnsPolynomial":
-        primes = np.array(self.basis.primes, dtype=np.int64)[:, None]
+        primes = self.basis.prime_column
         return RnsPolynomial(self.ring_degree, self.basis,
                              (-self.limbs) % primes, self.is_ntt)
 
@@ -139,7 +131,7 @@ class RnsPolynomial:
         self._check_compatible(other)
         if not self.is_ntt:
             raise ValueError("ring products require NTT representation")
-        primes = np.array(self.basis.primes, dtype=np.int64)[:, None]
+        primes = self.basis.prime_column
         return RnsPolynomial(self.ring_degree, self.basis,
                              self.limbs * other.limbs % primes, True)
 
@@ -150,7 +142,7 @@ class RnsPolynomial:
         scalars = np.array([int(s) for s in scalars], dtype=np.int64)
         if scalars.shape != (len(self.basis),):
             raise ValueError("need one scalar per limb")
-        primes = np.array(self.basis.primes, dtype=np.int64)[:, None]
+        primes = self.basis.prime_column
         return RnsPolynomial(self.ring_degree, self.basis,
                              self.limbs * scalars[:, None] % primes,
                              self.is_ntt)
@@ -192,7 +184,7 @@ class RnsPolynomial:
         idx = (np.arange(n, dtype=np.int64) * g) % (2 * n)
         wrap = idx >= n
         dest = np.where(wrap, idx - n, idx)
-        primes = np.array(self.basis.primes, dtype=np.int64)[:, None]
+        primes = self.basis.prime_column
         signed = np.where(wrap[None, :], -poly.limbs, poly.limbs)
         out[:, dest] = signed
         out %= primes

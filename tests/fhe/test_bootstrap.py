@@ -1,9 +1,13 @@
 """Tests for the bootstrapping building blocks and the full pipeline."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.fhe import BootstrapConfig, Bootstrapper, CkksParams, CkksScheme
+from repro.fhe.ciphertext import Ciphertext
+from repro.fhe.poly import RnsPolynomial
 from repro.fhe.bootstrap import (LinearTransform, bsgs_split, chebyshev_divide,
                                  chebyshev_fit, chebyshev_reference_eval,
                                  matrix_diagonals)
@@ -292,3 +296,67 @@ class TestSparseBootstrap:
 
     def test_fully_packed_replication_is_one(self, bootstrapper):
         assert bootstrapper.replication == 1
+
+
+#: SHA-256 of the limbs of the refreshed ciphertext of the N=16 bootstrap
+#: in ``TestBitIdentityGoldens`` (the benchmark's ``bootstrap_n16``
+#: parameters at seed 0), from the per-limb, per-block NTT kernels.
+BOOTSTRAP_N16_SHA256 = (
+    "e7e7cf33db38b04959ab6732185525b971a88e48b2c8366dd9e025e9585e97c8")
+
+#: SHA-256 of the limbs after multiply -> rescale -> rotate -> conjugate
+#: on ``small_scheme`` (same provenance).
+EVALUATOR_CHAIN_SHA256 = (
+    "db0bd8fbd53c3f92ce5054af50cc0edb4df3ff892fe8ce3d235624aa1b80e473")
+
+
+def limbs_sha256(ct) -> str:
+    h = hashlib.sha256()
+    for poly in (ct.c0, ct.c1):
+        h.update(np.ascontiguousarray(poly.limbs).tobytes())
+    return h.hexdigest()
+
+
+def symmetric_encrypt(scheme, values, seed) -> Ciphertext:
+    """Noise-free secret-key encryption with its own RNG, so the result
+    does not depend on what else drew from the scheme's RNG."""
+    pt = scheme.encoder.encode(values)
+    basis, n = pt.poly.basis, pt.poly.ring_degree
+    draw = np.random.default_rng(seed)
+    a = RnsPolynomial(n, basis, np.stack(
+        [draw.integers(0, q, n, dtype=np.int64) for q in basis.primes]),
+        is_ntt=True)
+    s = scheme.secret_key.restricted(basis)
+    return Ciphertext(pt.poly - a * s, a, pt.scale, pt.num_slots)
+
+
+class TestBitIdentityGoldens:
+    """Modular arithmetic is exact, so a faster kernel (NTT, base
+    conversion, key switching, rescaling) must reproduce these digests
+    bit for bit."""
+
+    def test_bootstrap_n16(self):
+        params = CkksParams(ring_degree=16, num_limbs=19, scale_bits=25,
+                            dnum=4, hamming_weight=8, first_prime_bits=30,
+                            num_extension_limbs=8, seed=0)
+        scheme = CkksScheme(params)
+        bootstrapper = Bootstrapper(
+            scheme, BootstrapConfig(eval_mod_degree=63, modulus_range=8))
+        draw = np.random.default_rng(0)
+        z = (draw.uniform(-1, 1, 8) + 1j * draw.uniform(-1, 1, 8)) * 0.5
+        refreshed = bootstrapper.bootstrap(
+            scheme.evaluator.mod_down_to(scheme.encrypt(z), 1))
+        assert refreshed.level_count == 8
+        assert np.max(np.abs(scheme.decrypt(refreshed) - z)) < 0.05
+        assert limbs_sha256(refreshed) == BOOTSTRAP_N16_SHA256
+
+    def test_evaluator_chain(self, small_scheme):
+        ev = small_scheme.evaluator
+        x = np.linspace(-1, 1, 32) * 0.5
+        y = np.cos(np.arange(32)) * 0.5
+        product = ev.rescale(ev.multiply(symmetric_encrypt(small_scheme, x, 1),
+                                         symmetric_encrypt(small_scheme, y, 2)))
+        out = ev.conjugate(ev.rotate(product, 1))
+        expected = np.roll(x * y, -1)
+        assert np.max(np.abs(small_scheme.decrypt(out) - expected)) < 1e-3
+        assert limbs_sha256(out) == EVALUATOR_CHAIN_SHA256

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fhe.ntt import NttContext, get_ntt_context
-from repro.fhe.primes import find_ntt_prime
+from repro.fhe.primes import find_ntt_prime, generate_prime_chain
+
+#: Largest ring degree and limb count of the batched-transform properties.
+MAX_DEGREE = 256
+MAX_LIMBS = 27
 
 
 @pytest.fixture(scope="module")
@@ -13,6 +17,12 @@ def ctx64():
     n = 64
     q = find_ntt_prime(28, n)
     return get_ntt_context(n, q)
+
+
+@pytest.fixture(scope="module")
+def chain():
+    """Primes that are NTT-friendly for every degree up to MAX_DEGREE."""
+    return tuple(generate_prime_chain(MAX_LIMBS, 28, MAX_DEGREE))
 
 
 class TestRoundtrip:
@@ -49,7 +59,8 @@ class TestConvolution:
         a = rng.integers(0, ctx64.modulus, n)
         b = rng.integers(0, ctx64.modulus, n)
         fast = ctx64.inverse(
-            ctx64.pointwise_multiply(ctx64.forward(a), ctx64.forward(b)))
+            ctx64.pointwise_multiply(ctx64.forward(a), ctx64.forward(b))
+        )
         assert np.array_equal(fast, ctx64.negacyclic_convolution(a, b))
 
     def test_multiply_by_x_wraps_negacyclically(self, ctx64):
@@ -61,7 +72,8 @@ class TestConvolution:
         x = np.zeros(n, dtype=np.int64)
         x[1] = 1
         prod = ctx64.inverse(
-            ctx64.pointwise_multiply(ctx64.forward(a), ctx64.forward(x)))
+            ctx64.pointwise_multiply(ctx64.forward(a), ctx64.forward(x))
+        )
         expected = np.zeros(n, dtype=np.int64)
         expected[0] = q - 1
         assert np.array_equal(prod, expected)
@@ -97,6 +109,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             NttContext(64, 97)  # 97 - 1 not divisible by 128
 
+    def test_rejects_unfriendly_prime_in_chain(self, chain):
+        with pytest.raises(ValueError):
+            NttContext(64, chain[:3] + (97,))
+
     def test_rejects_wrong_shape(self, ctx64):
         with pytest.raises(ValueError):
             ctx64.forward(np.zeros(32, dtype=np.int64))
@@ -105,6 +121,11 @@ class TestValidation:
         n = 32
         q = find_ntt_prime(20, n)
         assert get_ntt_context(n, q) is get_ntt_context(n, q)
+        assert get_ntt_context(n, [q]) is get_ntt_context(n, q)
+
+    def test_multi_prime_context_has_no_single_modulus(self, chain):
+        with pytest.raises(ValueError):
+            get_ntt_context(16, chain[:2]).modulus
 
 
 class TestMultipleDegrees:
@@ -121,6 +142,65 @@ class TestMultipleDegrees:
         ctx = get_ntt_context(n, q)
         a = rng.integers(0, q, n)
         b = rng.integers(0, q, n)
-        fast = ctx.inverse(
-            ctx.pointwise_multiply(ctx.forward(a), ctx.forward(b)))
+        fast = ctx.inverse(ctx.pointwise_multiply(ctx.forward(a), ctx.forward(b)))
         assert np.array_equal(fast, ctx.negacyclic_convolution(a, b))
+
+
+limb_matrices = st.tuples(
+    st.integers(min_value=2, max_value=MAX_DEGREE.bit_length() - 1),
+    st.integers(min_value=1, max_value=MAX_LIMBS),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+class TestLimbParallel:
+    """A multi-prime context transforms an ``(L, N)`` limb matrix exactly
+    as the single-prime contexts transform its rows one by one."""
+
+    @staticmethod
+    def _setup(chain, case):
+        log_n, limbs, seed = case
+        n = 1 << log_n
+        primes = chain[:limbs]
+        # Unreduced, signed input: both paths reduce it first.
+        a = np.random.default_rng(seed).integers(-(2**40), 2**40, (limbs, n))
+        return n, primes, a
+
+    @settings(max_examples=40, deadline=None)
+    @given(limb_matrices)
+    def test_matches_row_by_row(self, chain, case):
+        n, primes, a = self._setup(chain, case)
+        ctx = get_ntt_context(n, primes)
+        rows = [get_ntt_context(n, q) for q in primes]
+        forward = np.stack([r.forward(x) for r, x in zip(rows, a)])
+        inverse = np.stack([r.inverse(x) for r, x in zip(rows, a)])
+        assert np.array_equal(ctx.forward(a), forward)
+        assert np.array_equal(ctx.inverse(a), inverse)
+
+    @settings(max_examples=40, deadline=None)
+    @given(limb_matrices)
+    def test_roundtrip(self, chain, case):
+        n, primes, a = self._setup(chain, case)
+        ctx = get_ntt_context(n, primes)
+        reduced = a % np.array(primes, dtype=np.int64)[:, None]
+        assert np.array_equal(ctx.inverse(ctx.forward(a)), reduced)
+        assert np.array_equal(ctx.forward(ctx.inverse(a)), reduced)
+
+    @settings(max_examples=20, deadline=None)
+    @given(limb_matrices)
+    def test_wrong_shape_rejected(self, chain, case):
+        n, primes, a = self._setup(chain, case)
+        ctx = get_ntt_context(n, primes)
+        bad = [a[:, : n // 2], np.vstack([a, a[:1]]), a[..., None]]
+        if len(primes) > 1:
+            bad.append(a[0])
+        for values in bad:
+            with pytest.raises(ValueError):
+                ctx.forward(values)
+            with pytest.raises(ValueError):
+                ctx.inverse(values)
+
+    def test_single_prime_accepts_one_row_matrix(self, chain, rng):
+        ctx = get_ntt_context(64, chain[0])
+        a = rng.integers(0, chain[0], 64)
+        assert np.array_equal(ctx.forward(a[None, :]), ctx.forward(a)[None, :])

@@ -1,5 +1,7 @@
 """Unit and property tests for RNS bases and base conversion."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,11 @@ from hypothesis import given, settings, strategies as st
 from repro.fhe.modmath import crt_reconstruct
 from repro.fhe.primes import generate_prime_chain
 from repro.fhe.rns import (BaseConverter, RnsBasis, get_base_converter)
+
+
+@pytest.fixture(scope="module")
+def chain():
+    return generate_prime_chain(16, 28, 64)
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +119,52 @@ class TestExactConversion:
         out = conv.convert_exact_floor(limbs)
         for j, p in enumerate(target.primes):
             assert int(out[j, 0]) == value % p
+
+
+class TestLimbParallelConversion:
+    """The single-loop conversions against the big-int CRT reference."""
+
+    @staticmethod
+    def _setup(chain, case):
+        num_source, num_target, seed = case
+        source = RnsBasis(chain[:num_source])
+        target = RnsBasis(chain[num_source:num_source + num_target])
+        q_mod = source.modulus
+        draw = random.Random(seed)
+        values = [draw.randrange(q_mod) for _ in range(24)]
+        limbs = np.array([[v % q for v in values] for q in source.primes],
+                         dtype=np.int64)
+        conv = get_base_converter(source, target)
+        # The reference lifts to (-Q/2, Q/2]; shift back to [0, Q).
+        high = np.array([v >= q_mod // 2 for v in values])
+        shift = np.array([[q_mod % p] for p in target.primes],
+                         dtype=np.int64)
+        exact = (conv.convert_exact_centered(limbs) + high * shift) \
+            % target.prime_column
+        return source, target, conv, limbs, exact
+
+    cases = st.tuples(st.integers(1, 8), st.integers(1, 8),
+                      st.integers(0, 2**32 - 1))
+
+    @settings(max_examples=30, deadline=None)
+    @given(cases)
+    def test_floor_matches_reference(self, chain, case):
+        _, _, conv, limbs, exact = self._setup(chain, case)
+        assert np.array_equal(conv.convert_exact_floor(limbs), exact)
+
+    @settings(max_examples=30, deadline=None)
+    @given(cases)
+    def test_fast_is_reference_plus_overflow(self, chain, case):
+        source, target, conv, limbs, exact = self._setup(chain, case)
+        out = conv.convert(limbs)
+        q_mod = source.modulus
+        for col in range(limbs.shape[1]):
+            # One overflow multiple u*Q, 0 <= u < len(source), shared by
+            # every target limb.
+            assert any(
+                all(int(out[j, col]) == (int(exact[j, col]) + u * q_mod) % p
+                    for j, p in enumerate(target.primes))
+                for u in range(len(source)))
 
 
 class TestConverterCache:
