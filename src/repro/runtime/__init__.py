@@ -23,8 +23,8 @@ the FAB performance model (:mod:`repro.core`):
   trend) over windowed utilization/queue/arrival signals, driving
   voluntary board park/unpark with drain semantics and cold-cache
   rejoin.
-* :mod:`~repro.runtime.membership` — the unified pool-membership
-  ledger and event loop behind fault injection and autoscaling:
+* :mod:`~repro.runtime.membership` — the exact DES event loop and
+  the pool-membership ledger behind fault injection and autoscaling:
   per-board ``active | draining | parked | failed | repairing``
   states with explicit faults-vs-scaler arbitration rules.
 * :mod:`~repro.runtime.fast_engine` — the vectorized second engine
@@ -34,8 +34,8 @@ the FAB performance model (:mod:`repro.core`):
 * :mod:`~repro.runtime.arrivals` — the arrival-process library both
   engines draw from: Poisson (seed-for-seed the historical default),
   diurnal curves, MMPP bursts, flash crowds, JSONL trace replay.
-* :mod:`~repro.runtime.stats` — streaming percentile estimators
-  (P-squared, bottom-k reservoir) for fleet-scale reports.
+* :mod:`~repro.runtime.stats` — the streaming (bottom-k reservoir)
+  percentile estimator for fleet-scale reports.
 * :mod:`~repro.runtime.striped_lowering` — FAB-2 trace striping: shard
   one trace's batch dimension across the pool, schedule per-board
   lanes with CMAC gather/broadcast traffic.
@@ -47,8 +47,7 @@ from .arrivals import (ARRIVAL_PROCESSES, ArrivalProcess, DiurnalProcess,
 from .autoscaler import (AVAILABILITY_FLOOR, SCALE_POLICIES,
                          PredictiveScalePolicy, ReactiveScalePolicy,
                          ScalePolicy, ScaleSignals, ScheduleScalePolicy,
-                         SpareScalePolicy, make_scale_policy,
-                         run_with_autoscale)
+                         SpareScalePolicy, make_scale_policy)
 from .capture import (CountingKeySwitcher, TracingEncoder,
                       TracingEvaluator, capture)
 from .fast_engine import (STREAMING_AUTO_THRESHOLD, SetKeyCache, run_fast)
@@ -57,8 +56,7 @@ from .faults import (FAULT_PROCESSES, RETRY_POLICIES,
                      FaultSchedule, ImmediateRetry, NoRetry,
                      PoissonFaultProcess, RetryPolicy,
                      TraceFaultProcess, WeibullFaultProcess,
-                     make_fault_process, make_retry_policy,
-                     run_with_faults)
+                     make_fault_process, make_retry_policy)
 from .membership import (BOARD_STATES, PoolLedger, run_with_ledger)
 from .lowering import (KeyWorkingSet, LoweredCost, LOWERING_MAP,
                        cost_trace, key_working_set, lower_trace,
@@ -77,7 +75,7 @@ from .serving import (ENGINES, ArrivalChunk, Job, JobClass, KeyCache,
                       percentile)
 from .serving_baseline import BaselineKeyCache, baseline_run
 from .specs import SpecError
-from .stats import LatencyAccumulator, P2Quantile, ReservoirQuantiles
+from .stats import ReservoirQuantiles
 from .striped_lowering import (BOARD_POLICIES, BoardStriper, StripePlan,
                                StripedCost, StripedProgram,
                                StripedReport, StripedTrace,
@@ -95,9 +93,9 @@ __all__ = [
     "FAULT_PROCESSES", "FaultProcess", "FaultSchedule",
     "FifoPolicy", "FlashCrowdProcess", "ImmediateRetry",
     "Job", "JobClass", "KeyCache",
-    "KeyWorkingSet", "LOWERING_MAP", "LatencyAccumulator",
+    "KeyWorkingSet", "LOWERING_MAP",
     "LoweredCost", "MMPPProcess", "NoRetry", "OpTrace",
-    "P2Quantile", "POLICIES", "PoissonFaultProcess", "PoissonProcess",
+    "POLICIES", "PoissonFaultProcess", "PoissonProcess",
     "PolicyContext", "PoolLedger", "PriceSignal",
     "PredictiveScalePolicy",
     "REFERENCE_TRACES", "RETRY_POLICIES", "RateCurveProcess",
@@ -122,7 +120,6 @@ __all__ = [
     "lr_inference_trace", "lr_iteration_trace", "make_fault_process",
     "make_policy", "make_process", "make_retry_policy",
     "make_scale_policy",
-    "percentile", "run_fast", "run_with_autoscale",
-    "run_with_faults", "run_with_ledger", "stripe_trace",
+    "percentile", "run_fast", "run_with_ledger", "stripe_trace",
     "switching_key_bytes",
 ]

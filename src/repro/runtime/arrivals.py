@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 

@@ -1,24 +1,25 @@
-"""The unified pool-membership ledger and its event loop.
+"""The unified pool-membership ledger and the exact DES event loop.
 
-PR 8 (``runtime/faults.py``) and PR 9 (``runtime/autoscaler.py``) each
-forked the exact DES loop of
-:meth:`repro.runtime.serving.ServingSimulator.run` — one for
-involuntary membership changes (faults), one for voluntary ones
-(elastic scaling) — and the two were mutually exclusive.  A real fleet
-experiences both at once: a board the scaler is draining can die
-mid-drain, a parked spare can fail while parked, and capacity planning
-must price expected failures.  This module merges the two forks into
-one ledger-driven loop:
+Fault injection (``runtime/faults.py``) changes pool membership
+involuntarily, elastic scaling (``runtime/autoscaler.py``) voluntarily.
+A real fleet experiences both at once: a board the scaler is draining
+can die mid-drain, a parked spare can fail while parked, and capacity
+planning must price expected failures.  This module runs both through
+one ledger-driven loop, which is also the simulator's only exact
+discrete-event core — the fixed pool is the same loop with no
+membership mechanism:
 
 * :class:`PoolLedger` — the single owner of per-board membership
   state (``active | draining | parked | failed | repairing``), the
   per-state board-second integrals, and the key-cache eviction flag
   (a board's cache is evicted exactly once per departure, no matter
   how many mechanisms want it gone).
-* :func:`run_with_ledger` — the merged event loop.  With ``faults=``
-  only or ``autoscale=`` only it reduces *bit-identically* to the
-  PR 8 / PR 9 loops (the golden suites pin this); with both it applies
-  the arbitration rules below.
+* :func:`run_with_ledger` — the event loop behind
+  :meth:`repro.runtime.serving.ServingSimulator.run`.  With neither
+  ``faults=`` nor ``autoscale=`` it serves the fixed pool (the ledger
+  records no transition); with one of them it runs that mechanism
+  alone (the golden suites pin all three reports); with both it
+  applies the arbitration rules below.
 
 Arbitration rules
 -----------------
@@ -43,7 +44,7 @@ Arbitration rules
   :class:`repro.runtime.autoscaler.SpareScalePolicy` (``spare:n=``),
   warm standbys replace boards found down or dead, so striped gangs
   keep their planned width until the spare pool is exhausted — only
-  then does PR 8's degraded re-planning kick in.  If every in-service
+  then does degraded re-planning kick in.  If every in-service
   board is dead the loop performs an emergency un-park before
   declaring the pool dead.
 
@@ -56,7 +57,7 @@ Observability: every ledger transition fires the
 ``ledger_transition`` recorder hook (a state-transition track in the
 timeline, per-state board-seconds in the metrics summary).  All of it
 is lazy-discovery semantics: a fault on a board nobody touches is
-accounted when the loop next settles that board, exactly like PR 8.
+accounted when the loop next settles that board.
 """
 
 from __future__ import annotations
@@ -212,24 +213,18 @@ def run_with_ledger(
     autoscale=None,
     ledger: Optional[PoolLedger] = None,
 ) -> ServingReport:
-    """The DES loop of :meth:`ServingSimulator.run` with unified pool
-    membership.
+    """The exact DES loop behind :meth:`ServingSimulator.run`.
 
-    The superset of :func:`repro.runtime.faults.run_with_faults` and
-    :func:`repro.runtime.autoscaler.run_with_autoscale`: every
-    fault-only construct is gated on ``faults`` being set and every
-    elasticity construct on ``autoscale``, so each single mechanism
-    executes exactly its PR 8 / PR 9 instruction stream (bit-identical
-    reports, golden-pinned) while the combination applies the module's
-    arbitration rules.  Pass ``ledger=`` to inspect the membership
-    state machine after the run (tests do); by default one is created
-    per run.
+    Every fault-only construct is gated on ``faults`` being set and
+    every elasticity construct on ``autoscale``.  With neither, the
+    loop serves the fixed pool and the ledger records no transition;
+    each single mechanism executes exactly its own instruction stream
+    (bit-identical reports, golden-pinned) while the combination
+    applies the module's arbitration rules.  Pass ``ledger=`` to
+    inspect the membership state machine after the run (tests do); by
+    default one is created per run.  Arguments are validated by
+    :meth:`ServingSimulator.run`, the intended entry point.
     """
-    if faults is None and autoscale is None:
-        raise ValueError(
-            "run_with_ledger needs faults= and/or autoscale=; the "
-            "fixed-pool loop lives in ServingSimulator.run"
-        )
     scale = make_scale_policy(autoscale) if autoscale is not None else None
     retry = make_retry_policy(retry)
     rec = recorder if recorder is not None and recorder.enabled else None
@@ -257,10 +252,13 @@ def run_with_ledger(
     retry_seq = 0
     #: job_id -> Job for every job currently inside the policy's
     #: queues (pool death must shed them; policies have no drain API).
+    #: Only fault injection can kill the pool, so only it tracks them.
     in_policy: Dict[int, Job] = {}
+    track = schedule is not None
     restripe_cache: Dict[Tuple[JobClass, int], Optional[JobClass]] = {}
     batches = 0
     batched_jobs = 0
+    makespan = 0.0  # latest completion so far
     cost_price_units = 0.0
     board_faults = 0
     failures = 0
@@ -394,7 +392,8 @@ def run_with_ledger(
 
     def reject_job(job: Job) -> None:
         rejected.append(job)
-        in_policy.pop(job.job_id, None)
+        if track:
+            in_policy.pop(job.job_id, None)
         if rec is not None:
             deadline = job.effective_deadline_s
             rec.job_rejected(
@@ -424,18 +423,18 @@ def run_with_ledger(
             max_batch=sim.max_batch,
         )
 
-    def enqueue(job: Job) -> None:
+    def enqueue_tracked(job: Job) -> None:
         policy.enqueue(job)
         in_policy[job.job_id] = job
 
+    enqueue = enqueue_tracked if track else policy.enqueue
+
     def admit(now: float) -> None:
         nonlocal i
+        first = i
         while i < n and jobs[i].arrival_s <= now:
             job = jobs[i]
             enqueue(job)
-            if scale is not None:
-                bin_index = window_index(job.arrival_s, interval)
-                arrival_bins[bin_index] = arrival_bins.get(bin_index, 0) + 1
             if rec is not None:
                 deadline = job.effective_deadline_s
                 rec.job_arrival(
@@ -447,6 +446,10 @@ def run_with_ledger(
                     deferrable=job.deferrable,
                 )
             i += 1
+        if scale is not None:
+            for job in jobs[first:i]:
+                bin_index = window_index(job.arrival_s, interval)
+                arrival_bins[bin_index] = arrival_bins.get(bin_index, 0) + 1
         while retry_heap and retry_heap[0][0] <= now:
             _, _, job = heapq.heappop(retry_heap)
             enqueue(job)
@@ -642,6 +645,23 @@ def run_with_ledger(
         )
         return launch_overhead_s + load_s + batch_size * job_class.seconds(sim.config)
 
+    def load_keys(gang, tenant: str, job_class: JobClass):
+        """Commit ``tenant``'s keys into every gang member's cache;
+        returns the slowest member's load time and, when recording,
+        the per-member ``(board, load_s, miss_bytes)`` loads."""
+        load_s = 0.0
+        member_loads = [] if rec is not None else None
+        for member in gang:
+            miss_bytes = member.cache.request(tenant, job_class)
+            member_load_s = key_load_seconds(sim.host, miss_bytes)
+            member.key_load_s += member_load_s
+            ledger.warmed(member.index)
+            if member_loads is not None:
+                member_loads.append((member.index, member_load_s, miss_bytes))
+            if member_load_s > load_s:
+                load_s = member_load_s
+        return load_s, member_loads
+
     view = DispatchView(now=0.0, gang_start=gang_start, service_s=service_s)
 
     while i < n or policy.pending or retry_heap:
@@ -729,8 +749,9 @@ def run_with_ledger(
             else:
                 heapq.heappush(free_heap, (now, device_index))
             continue
-        for job in batch:
-            in_policy.pop(job.job_id, None)
+        if track:
+            for job in batch:
+                in_policy.pop(job.job_id, None)
         job_class = batch[0].job_class
 
         pool_limit = in_service_count if scale is not None else alive
@@ -836,35 +857,27 @@ def run_with_ledger(
             if aborted:
                 continue
 
-        # Key loads previewed without mutation so the finish time (and
-        # hence the kill window) is known before committing residency.
-        load_s = 0.0
-        for member in gang:
-            member_load_s = key_load_seconds(
-                sim.host, member.cache.peek_miss_bytes(batch[0].tenant, job_class)
-            )
-            if member_load_s > load_s:
-                load_s = member_load_s
         compute_s = len(batch) * job_class.seconds(sim.config)
-        batch_service_s = launch_overhead_s + load_s + compute_s
-        finish = start + batch_service_s
         if schedule is not None:
+            # Key loads previewed without mutation so the finish time
+            # (and hence the kill window) is known before committing
+            # residency.
+            load_s = 0.0
+            for member in gang:
+                member_load_s = key_load_seconds(
+                    sim.host, member.cache.peek_miss_bytes(batch[0].tenant, job_class)
+                )
+                if member_load_s > load_s:
+                    load_s = member_load_s
             fail_t = min(schedule.next_down_s(m.index) for m in gang)
-            if fail_t < finish:
+            if fail_t < start + (launch_overhead_s + load_s + compute_s):
                 # The gang loses a board mid-batch (or at the starting
                 # line): everything since ``start`` is wasted and
                 # every job goes to the retry policy.  Key residency
                 # is committed — the loads were in flight — and the
                 # failed board's cache is wiped by its fault
                 # settlement.
-                member_loads = [] if rec is not None else None
-                for member in gang:
-                    miss_bytes = member.cache.request(batch[0].tenant, job_class)
-                    member_load_s = key_load_seconds(sim.host, miss_bytes)
-                    member.key_load_s += member_load_s
-                    ledger.warmed(member.index)
-                    if member_loads is not None:
-                        member_loads.append((member.index, member_load_s, miss_bytes))
+                _, member_loads = load_keys(gang, batch[0].tenant, job_class)
                 if rec is not None and fail_t > start:
                     rec.batch(
                         start=start,
@@ -891,17 +904,18 @@ def run_with_ledger(
                 fail_batch(batch, gang, start, fail_t, launched=True)
                 continue
 
-        member_loads = [] if rec is not None else None
-        for member in gang:
-            miss_bytes = member.cache.request(batch[0].tenant, job_class)
-            member_load_s = key_load_seconds(sim.host, miss_bytes)
-            member.key_load_s += member_load_s
-            ledger.warmed(member.index)
-            if member_loads is not None:
-                member_loads.append((member.index, member_load_s, miss_bytes))
+        # Switching keys replicate into every gang board's HBM; the
+        # per-board PCIe loads run in parallel, so the batch waits for
+        # the slowest board's misses (under faults, exactly the loads
+        # the preview above priced).
+        load_s, member_loads = load_keys(gang, batch[0].tenant, job_class)
+        batch_service_s = launch_overhead_s + load_s + compute_s
+        finish = start + batch_service_s
         for job in batch:
             job.finish_s = finish
         completed.extend(batch)
+        if finish > makespan:
+            makespan = finish
         for member in gang:
             member.free_at_s = finish
             member.busy_s += batch_service_s
@@ -940,7 +954,6 @@ def run_with_ledger(
                 cost=batch_cost,
             )
 
-    makespan = max((j.finish_s or 0.0 for j in completed), default=0.0)
     if scale is not None:
         # Close the capacity integral at the end of the run:
         # in-service boards are paid for until the last completion

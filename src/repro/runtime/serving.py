@@ -40,7 +40,6 @@ test suite relies on.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from collections import OrderedDict
@@ -54,12 +53,11 @@ from ..core.host import HostConfig
 from ..core.params import FabConfig
 from ..core.trace import format_table
 from ..experiments.common import ExperimentResult, ExperimentRow
-from ..obs import NULL_RECORDER, Recorder
+from ..obs import Recorder
 from .arrivals import ArrivalProcess, PoissonProcess, make_process
 from .lowering import cost_trace
 from .optrace import OpTrace
-from .policies import (DispatchView, PolicyContext, PriceSignal,
-                       make_policy)
+from .policies import PriceSignal
 
 #: Engines selectable in :meth:`ServingSimulator.run`: the exact DES
 #: (bit-identical to the preserved baseline under fifo) and the
@@ -844,8 +842,10 @@ class ServingSimulator:
             autoscale=None) -> ServingReport:
         """Simulate one scenario; returns the aggregated report.
 
-        ``engine`` selects the event core: ``"des"`` (this exact
-        discrete-event loop) or ``"fast"`` (the vectorized engine in
+        ``engine`` selects the event core: ``"des"`` (the exact
+        discrete-event loop,
+        :func:`repro.runtime.membership.run_with_ledger`) or
+        ``"fast"`` (the vectorized engine in
         :mod:`repro.runtime.fast_engine`, same semantics at ~10x the
         event rate; the parity suite holds its reports to the DES
         oracle on shared arrival sequences).  ``arrival_mode`` and
@@ -853,9 +853,10 @@ class ServingSimulator:
         exact vs numpy-vectorized arrival generation, and streaming
         (reservoir) percentile estimation (default exact lists;
         ``True`` always streams, ``"auto"`` streams past 100k jobs
-        per class).
+        per class).  Arguments are validated once, here, whichever
+        engine runs.
 
-        The loop is driven by two event sources merged per dispatch: a
+        The DES is driven by two event sources merged per dispatch: a
         heap of device-completion times and the time-sorted arrival
         list (consumed by an O(1)-amortized cursor).  *Which* queued
         batch a free device takes — and whether a job is admitted at
@@ -882,14 +883,12 @@ class ServingSimulator:
         scale-up.
 
         ``faults`` and ``autoscale`` — alone or combined — are
-        DES-only and run in the unified membership loop
-        (:func:`repro.runtime.membership.run_with_ledger`), where a
-        :class:`repro.runtime.membership.PoolLedger` arbitrates the
-        two mechanisms (a fault completes a drain without
-        double-evicting the key cache; a parked spare rejoins only
-        when the scaler wants it; spares absorb failures before gangs
-        re-stripe).  With both ``None`` this loop is exactly the
-        fixed-pool code path (golden-pinned).
+        DES-only: the :class:`repro.runtime.membership.PoolLedger`
+        arbitrates the two mechanisms (a fault completes a drain
+        without double-evicting the key cache; a parked spare rejoins
+        only when the scaler wants it; spares absorb failures before
+        gangs re-stripe).  With both ``None`` the same loop serves the
+        fixed pool: the ledger records no transition (golden-pinned).
 
         ``recorder`` (a :class:`repro.obs.Recorder`) observes the run:
         arrivals, rejections, batch services, deferral windows, and
@@ -899,8 +898,8 @@ class ServingSimulator:
         entirely and the report is bit-identical to an unrecorded
         run, which the regression suite asserts.
 
-        Under the default ``fifo`` policy the schedule produced is
-        bit-identical to the original frontier-scanning loop
+        Under the default ``fifo`` policy the fixed-pool DES schedule
+        is bit-identical to the original frontier-scanning loop
         preserved in
         :func:`repro.runtime.serving_baseline.baseline_run`, which
         the test suite asserts.
@@ -911,44 +910,24 @@ class ServingSimulator:
                     f"job class {stream.job_class.name!r} stripes over "
                     f"{stream.job_class.num_fpgas} boards but the pool "
                     f"has {self.num_devices}")
-        if faults is not None or autoscale is not None:
-            # Pool membership changes — involuntary (faults) and
-            # voluntary (autoscale), alone or combined — run in the
-            # unified ledger loop
-            # (:func:`repro.runtime.membership.run_with_ledger`), so
-            # this loop stays byte-for-byte the fixed-pool code.
-            # Each mechanism alone reduces bit-identically to its
-            # pre-unification fork (golden-pinned); together the
-            # ledger arbitrates (a fault can complete a drain, spares
-            # absorb failures, parked boards can die).
-            if engine == "fast":
-                raise ValueError(
-                    "pool-membership changes (faults/autoscale) "
-                    "require engine='des'; the fast engine is a "
-                    "fixed-pool parity oracle")
-            if retry is not None and faults is None:
-                raise ValueError(
-                    "a retry policy only applies under fault "
-                    "injection; autoscaling drains boards instead of "
-                    "killing batches")
-            from .membership import run_with_ledger
-            return run_with_ledger(
-                self, scenario, seed=seed, policy=policy, price=price,
-                recorder=recorder, faults=faults, retry=retry,
-                autoscale=autoscale)
-        if retry is not None:
+        if engine not in ENGINES:
+            raise ValueError(f"unknown engine {engine!r}; "
+                             f"try: {', '.join(ENGINES)}")
+        if retry is not None and faults is None:
             raise ValueError(
                 "a retry policy only applies under fault injection; "
                 "pass faults= as well")
         if engine == "fast":
+            if faults is not None or autoscale is not None:
+                raise ValueError(
+                    "pool-membership changes (faults/autoscale) "
+                    "require engine='des'; the fast engine is a "
+                    "fixed-pool parity oracle")
             from .fast_engine import run_fast
             return run_fast(self, scenario, seed=seed, policy=policy,
                             price=price, recorder=recorder,
                             arrival_mode=arrival_mode,
                             streaming_quantiles=streaming_quantiles)
-        if engine != "des":
-            raise ValueError(f"unknown engine {engine!r}; "
-                             f"try: {', '.join(ENGINES)}")
         if arrival_mode != "exact":
             raise ValueError(
                 "the DES engine always generates arrivals exactly; "
@@ -957,219 +936,13 @@ class ServingSimulator:
             raise ValueError(
                 "the DES engine keeps exact latency lists; "
                 "streaming_quantiles applies to engine='fast' only")
-        rec = (recorder if recorder is not None and recorder.enabled
-               else None)
-        jobs = scenario.generate(seed)
-        policy = make_policy(policy)
-        price = price if price is not None else PriceSignal.flat()
-        devices = [DeviceState(i, KeyCache(self.key_cache_bytes))
-                   for i in range(self.num_devices)]
-        free_heap: List[Tuple[float, int]] = [
-            (0.0, d.index) for d in devices]
-        heapq.heapify(free_heap)
-        completed: List[Job] = []
-        rejected: List[Job] = []
-        batches = 0
-        batched_jobs = 0
-        cost_price_units = 0.0
-        i = 0
-        n = len(jobs)
-        launch_overhead_s = self.host.kernel_launch_overhead_s
-        # Dispatch-view helpers, hoisted out of the event loop: they
-        # close over the loop's live ``now``/``device_index``, and the
-        # single DispatchView is updated in place per dispatch (it is
-        # only valid for the duration of one ``next_batch`` call), so
-        # the default fifo path pays no per-dispatch closure or
-        # allocation cost for machinery it never reads.
-        now = 0.0
-        device_index = 0
-
-        if rec is None:
-            reject_job = rejected.append
-        else:
-            rec.run_begin(scenario=scenario.name,
-                          num_devices=self.num_devices,
-                          policy=policy.name, price=price,
-                          max_batch=self.max_batch)
-
-            def reject_job(job: Job) -> None:
-                rejected.append(job)
-                deadline = job.effective_deadline_s
-                rec.job_rejected(
-                    t=now, job_id=job.job_id,
-                    job_class=job.job_class.name, tenant=job.tenant,
-                    deadline_s=(None if deadline == math.inf
-                                else deadline))
-
-        policy.begin(PolicyContext(
-            max_batch=self.max_batch, price=price,
-            service_bound_s=self.service_bound_s,
-            best_case_s=self.best_case_service_s,
-            reject=reject_job,
-            recorder=recorder if rec is not None else NULL_RECORDER))
-
-        def admit(now: float) -> None:
-            nonlocal i
-            while i < n and jobs[i].arrival_s <= now:
-                job = jobs[i]
-                policy.enqueue(job)
-                if rec is not None:
-                    deadline = job.effective_deadline_s
-                    rec.job_arrival(
-                        t=job.arrival_s, job_id=job.job_id,
-                        job_class=job.job_class.name, tenant=job.tenant,
-                        deadline_s=(None if deadline == math.inf
-                                    else deadline),
-                        deferrable=job.deferrable)
-                i += 1
-
-        def gang_start(k: int) -> float:
-            # Earliest time k boards (this one + the k-1 next free)
-            # could all start; peeking matches the pops a dispatched
-            # gang performs below.  A board sleeping on a deferral
-            # timer has been *physically* idle since its last finish,
-            # so availability reads DeviceState.free_at_s — its heap
-            # key is a re-evaluation time, not a busy-until time.
-            if k <= 1:
-                return now
-            extra = heapq.nsmallest(k - 1, free_heap)
-            free = max((devices[index].free_at_s for _, index in extra),
-                       default=now)
-            return max(now, free)
-
-        def service_s(job: Job, batch_size: int) -> float:
-            # Exact dispatch-time service preview: the same gang the
-            # dispatch below would grab, each member's key misses
-            # peeked without touching residency, the batch waiting on
-            # the slowest board's load — so an admission test against
-            # this oracle predicts the real finish time exactly.
-            job_class = job.job_class
-            members = [devices[device_index]]
-            if job_class.num_fpgas > 1:
-                members += [
-                    devices[index] for _, index in heapq.nsmallest(
-                        job_class.num_fpgas - 1, free_heap)]
-            load_s = max(
-                self._key_load_seconds(
-                    member.cache.peek_miss_bytes(job.tenant, job_class))
-                for member in members)
-            return (launch_overhead_s + load_s
-                    + batch_size * job_class.seconds(self.config))
-
-        view = DispatchView(now=0.0, gang_start=gang_start,
-                            service_s=service_s)
-
-        while i < n or policy.pending:
-            free_at, device_index = heapq.heappop(free_heap)
-            now = free_at
-            admit(now)
-            if not policy.pending:
-                # Idle until the next arrival.
-                now = max(now, jobs[i].arrival_s)
-                admit(now)
-
-            view.now = now
-            if rec is not None:
-                rec.queue_sample(t=now, total=policy.pending,
-                                 depths=policy.queue_depths())
-            batch = policy.next_batch(view)
-            if not batch:
-                if policy.pending:
-                    # Deferred: sleep the board until the policy's
-                    # next event or the next arrival.  Progress is
-                    # guaranteed — policies only defer to a strictly
-                    # later time — but never trust it blindly.
-                    wake = policy.next_event_s(now)
-                    if i < n:
-                        wake = min(wake, jobs[i].arrival_s)
-                    if wake <= now:
-                        wake = math.nextafter(now, math.inf)
-                    if rec is not None:
-                        rec.defer(board=device_index, t=now, wake=wake)
-                    heapq.heappush(free_heap, (wake, device_index))
-                else:
-                    # Everything queued was rejected; the board is
-                    # free again at ``now`` for future arrivals.
-                    heapq.heappush(free_heap, (now, device_index))
-                continue
-            job_class = batch[0].job_class
-            gang = [devices[device_index]]
-            start = now
-            if job_class.num_fpgas > 1:
-                # Gang-schedule a striped batch: grab the next-free
-                # boards; the stripe holds all of them until it
-                # finishes (compute can only start once the slowest
-                # gang member frees up).  Availability is the member's
-                # free_at_s, not its heap key — a deferral pushes a
-                # wake *timer* into the heap while the board sits
-                # physically idle, and reading the timer as busy time
-                # would delay (or spuriously reject) a feasible gang.
-                for _ in range(job_class.num_fpgas - 1):
-                    _, extra_index = heapq.heappop(free_heap)
-                    member = devices[extra_index]
-                    gang.append(member)
-                    if member.free_at_s > start:
-                        start = member.free_at_s
-            # Switching keys replicate into every gang board's HBM;
-            # the per-board PCIe loads run in parallel, so the batch
-            # waits for the slowest board's misses.
-            load_s = 0.0
-            member_loads = [] if rec is not None else None
-            for member in gang:
-                miss_bytes = member.cache.request(batch[0].tenant,
-                                                  job_class)
-                member_load_s = self._key_load_seconds(miss_bytes)
-                member.key_load_s += member_load_s
-                if member_loads is not None:
-                    member_loads.append(
-                        (member.index, member_load_s, miss_bytes))
-                if member_load_s > load_s:
-                    load_s = member_load_s
-            compute_s = len(batch) * job_class.seconds(self.config)
-            service_s = launch_overhead_s + load_s + compute_s
-            finish = start + service_s
-            for job in batch:
-                job.finish_s = finish
-            completed.extend(batch)
-            for member in gang:
-                member.free_at_s = finish
-                member.busy_s += service_s
-                heapq.heappush(free_heap, (finish, member.index))
-            # Each job counts once pool-wide (the baseline's
-            # semantics): credit the gang master, not every member.
-            gang[0].jobs_done += len(batch)
-            batches += 1
-            batched_jobs += len(batch)
-            batch_cost = len(gang) * price.integral(start, finish)
-            cost_price_units += batch_cost
-            if rec is not None:
-                slo_met = slo_total = 0
-                for job in batch:
-                    deadline = job.effective_deadline_s
-                    if deadline != math.inf:
-                        slo_total += 1
-                        if finish <= deadline:
-                            slo_met += 1
-                rec.batch(
-                    start=start, finish=finish,
-                    job_class=job_class.name, tenant=batch[0].tenant,
-                    batch_size=len(batch), launch_s=launch_overhead_s,
-                    members=member_loads,
-                    cache_stats=tuple(m.cache.stats() for m in gang),
-                    slo_met=slo_met, slo_total=slo_total,
-                    cost=batch_cost)
-
-        if rec is not None:
-            rec.run_end(
-                makespan_s=max((j.finish_s or 0.0 for j in completed),
-                               default=0.0),
-                device_busy_s=tuple(d.busy_s for d in devices),
-                jobs_done=len(completed))
-        return self._report(scenario, completed, devices, batches,
-                            batched_jobs, policy=policy.name,
-                            rejected=rejected,
-                            deferred_jobs=policy.deferred_jobs,
-                            cost_price_units=cost_price_units)
+        # Imported at call time so that a wrapper installed on the
+        # module attribute (e.g. a profiler's) is the one called.
+        from .membership import run_with_ledger
+        return run_with_ledger(
+            self, scenario, seed=seed, policy=policy, price=price,
+            recorder=recorder, faults=faults, retry=retry,
+            autoscale=autoscale)
 
     # ------------------------------------------------------------------
 

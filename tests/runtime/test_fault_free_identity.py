@@ -1,10 +1,11 @@
 """Fault-free runs are bit-identical to the pre-fault engine.
 
-The fault subsystem forked the DES loop rather than branching inside
-it precisely so this suite can exist: every golden grid point (both
-engines x policies x arrival processes x striping, captured from the
-tree *before* the fault machinery landed) must reproduce float for
-float.  New always-computed report fields (``goodput_jps``, the fault
+Fault-free runs go through the same DES loop as faulty ones
+(:func:`repro.runtime.membership.run_with_ledger`, every fault
+construct gated off), and this suite is what makes that safe: every
+golden grid point (both engines x policies x arrival processes x
+striping, captured from the tree *before* the fault machinery landed)
+must reproduce float for float.  New always-computed report fields (``goodput_jps``, the fault
 counters) are allowed to appear; every golden key must match exactly.
 
 Regenerate (only after an intentional semantic change)::

@@ -271,10 +271,13 @@ class TestSingleModeLedger:
     """Single-mechanism runs drive the same ledger; its trail must
     reflect only that mechanism's transitions."""
 
-    def test_requires_a_membership_mechanism(self, config, mixed):
+    def test_no_mechanism_is_the_fixed_pool(self, config, mixed):
         simulator = ServingSimulator(config, num_devices=4)
-        with pytest.raises(ValueError, match="faults"):
-            run_with_ledger(simulator, mixed, seed=0)
+        ledger = PoolLedger(4)
+        report = run_with_ledger(simulator, mixed, ledger=ledger)
+        assert ledger.transitions == {}
+        assert ledger.state_seconds()["active"] == pytest.approx(4 * ledger.closed_at)
+        assert repr(report) == repr(simulator.run(mixed))
 
     def test_faults_only_never_parks(self, config, mixed):
         simulator = ServingSimulator(config, num_devices=4)

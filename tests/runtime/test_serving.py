@@ -210,6 +210,28 @@ class TestSimulator:
         with pytest.raises(ValueError):
             Stream(JobClass("x", 1, (), 1), rate_per_s=0.0)
 
+    @pytest.mark.parametrize("membership", [
+        {}, {"faults": "poisson:mtbf=1"}, {"autoscale": "reactive"},
+    ], ids=["fixed", "faults", "autoscale"])
+    @pytest.mark.parametrize("bad,match", [
+        ({"engine": "bogus"}, "unknown engine"),
+        ({"arrival_mode": "vectorized"}, "arrival_mode"),
+        ({"arrival_mode": "bogus"}, "arrival_mode"),
+        ({"streaming_quantiles": True}, "streaming_quantiles"),
+        # Without faults any retry policy is an error; with them an
+        # unknown one is.
+        ({"retry": "psychic"}, "retry"),
+    ], ids=["engine", "vectorized", "arrival_mode", "streaming", "retry"])
+    def test_bad_arguments_raise_on_every_pool(self, config, membership,
+                                                bad, match):
+        """A bad argument fails the same way whether or not a pool-
+        membership mechanism is set: validation precedes routing."""
+        scenario = build_scenarios(config, num_devices=4,
+                                   duration_s=0.05)["mixed"]
+        with pytest.raises(ValueError, match=match):
+            ServingSimulator(config, num_devices=4).run(
+                scenario, **membership, **bad)
+
 
 class TestFastLoopMatchesBaseline:
     """The heap-driven event loop must be bit-identical to the original
